@@ -401,6 +401,7 @@ impl DeltaStore {
         while states.len() > STATES_PER_KEY {
             states.remove(0);
         }
+        // Every branch above pushed a state or returned. lint:allow(SC002)
         let state = states.last().expect("present after hit or insert");
         let target = self.refire(target_schema, &prepared, state, metrics)?;
         Ok(Outcome::Complete(target))

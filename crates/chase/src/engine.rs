@@ -43,9 +43,10 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use muse_mapping::{Mapping, PathRef, WhereClause};
-use muse_nr::{Instance, NullId, Schema, SetId, SetPath, Tuple, Value};
+use muse_nr::{Instance, NullId, Schema, SetId, SetPath, SkolemArgs, Tuple, Value};
 use muse_obs::{faultpoints, Budget, Counter, Metrics, Outcome, TruncationReason};
 use muse_par::{chunks, try_scope_map};
 use muse_query::{evaluate_all_planned_with, plan_query, Binding, EvalPlan, SelectivityHints};
@@ -522,15 +523,15 @@ pub(crate) fn merge_into(target: &mut Instance, partial: &Instance, emit: &Emit)
     let store = partial.store();
     let mut null_map: Vec<NullId> = Vec::with_capacity(store.null_count());
     for nid in store.all_null_ids() {
-        let t = store.null_term(nid).clone();
-        let args = remap_values(&t.args, &null_map, &[]);
-        null_map.push(target.store_mut().null_id(t.tag, args));
+        let t = store.null_term(nid);
+        let args = SkolemArgs::new(remap_values(&t.args, &null_map, &[]));
+        null_map.push(target.store_mut().null_id_shared(&t.tag, &args));
     }
     let mut set_map: Vec<SetId> = Vec::with_capacity(store.set_count());
     for sid in store.all_set_ids() {
-        let t = store.set_term(sid).clone();
-        let args = remap_values(&t.args, &null_map, &set_map);
-        set_map.push(target.group(t.set, args));
+        let t = store.set_term(sid);
+        let args = SkolemArgs::new(remap_values(&t.args, &null_map, &set_map));
+        set_map.push(target.group_shared(&t.set, &args));
     }
     for sid in partial.set_ids() {
         let into = set_map[sid.index()];
@@ -613,10 +614,20 @@ struct TVarPlan {
 }
 
 enum FieldPlan {
-    /// Atomic field: the equivalence-class id (value computed per binding).
+    /// Atomic field: index into [`Prepared::classes`] (value computed once
+    /// per binding).
     Atomic { class: usize },
     /// Set field: index into the per-binding set-id table.
     Set { slot: usize },
+}
+
+/// How one equivalence class of target attributes gets its value.
+enum ClassPlan {
+    /// Copied from the source attribute `(source var, attr index)`.
+    Source(usize, usize),
+    /// A labeled null with this deterministic tag, Skolemized over the
+    /// whole binding.
+    Null(String),
 }
 
 enum Container {
@@ -624,9 +635,11 @@ enum Container {
     ParentField { slot: usize },
 }
 
-/// A nested set the mapping fills: its path and grouping-argument refs.
+/// A nested set the mapping fills: its path and the index of its grouping
+/// arguments in [`Prepared::arg_lists`].
 struct SetSlot {
     path: SetPath,
+    args: usize,
 }
 
 /// Everything [`fire`] needs about one mapping, resolved once per chase
@@ -635,12 +648,12 @@ struct SetSlot {
 pub(crate) struct Prepared<'m> {
     m: &'m Mapping,
     slots: Vec<SetSlot>,
-    /// Per slot: `(source var, attr index)` of each grouping argument.
-    slot_arg_idx: Vec<Vec<(usize, usize)>>,
-    /// Per equivalence class: the `(source var, attr index)` assigned to it.
-    assignment_idx: BTreeMap<usize, (usize, usize)>,
-    /// Per equivalence class: deterministic labeled-null tag.
-    class_tag: BTreeMap<usize, String>,
+    /// The distinct grouping-argument lists, as `(source var, attr index)`
+    /// per argument, numbered in order of first use by `slots`. Default
+    /// groupings give every nested set of a mapping the same list.
+    arg_lists: Vec<Vec<(usize, usize)>>,
+    /// The equivalence classes that atomic target fields draw from.
+    classes: Vec<ClassPlan>,
     plans: Vec<TVarPlan>,
 }
 
@@ -758,15 +771,39 @@ pub(crate) fn prepare<'m>(
         }
     }
 
+    // Source attribute indices, for fast projection.
+    let src_attr_idx = |r: &PathRef| -> Result<(usize, usize), ChaseError> {
+        let set = &m.source_vars[r.var].set;
+        Ok((r.var, source_schema.attr_index(set, &r.attr)?))
+    };
+
     // --- Set slots (nested target sets with their grouping functions) -----
     let mut slots: Vec<SetSlot> = Vec::new();
-    let mut slot_args: Vec<Vec<PathRef>> = Vec::new();
+    let mut arg_lists: Vec<Vec<(usize, usize)>> = Vec::new();
     let mut slot_of: BTreeMap<SetPath, usize> = BTreeMap::new();
     for (set, g) in &m.groupings {
+        let list = g
+            .args
+            .iter()
+            .map(src_attr_idx)
+            .collect::<Result<Vec<_>, _>>()?;
+        let args = match arg_lists.iter().position(|l| *l == list) {
+            Some(i) => i,
+            None => {
+                arg_lists.push(list);
+                arg_lists.len() - 1
+            }
+        };
         slot_of.insert(set.clone(), slots.len());
-        slots.push(SetSlot { path: set.clone() });
-        slot_args.push(g.args.clone());
+        slots.push(SetSlot {
+            path: set.clone(),
+            args,
+        });
     }
+
+    // --- Equivalence classes, numbered in order of first use -------------
+    let mut class_plans: Vec<ClassPlan> = Vec::new();
+    let mut class_of: BTreeMap<usize, usize> = BTreeMap::new();
 
     // --- Per-target-variable plans ----------------------------------------
     let mut plans: Vec<TVarPlan> = Vec::with_capacity(m.target_vars.len());
@@ -787,7 +824,26 @@ pub(crate) fn prepare<'m>(
                     .ok_or_else(|| muse_mapping::MappingError::MissingGrouping(child.clone()))?;
                 fplans.push(FieldPlan::Set { slot });
             } else {
-                let class = classes.root_of(&PathRef::new(tv_idx, f.label.clone()));
+                let root = classes.root_of(&PathRef::new(tv_idx, f.label.clone()));
+                let class = match class_of.get(&root) {
+                    Some(&class) => class,
+                    None => {
+                        class_plans.push(match assignment.get(&root) {
+                            Some(r) => {
+                                let (var, idx) = src_attr_idx(r)?;
+                                ClassPlan::Source(var, idx)
+                            }
+                            None => ClassPlan::Null(
+                                class_tag
+                                    .get(&root)
+                                    .cloned()
+                                    .unwrap_or_else(|| format!("{}:class{}", m.name, root)),
+                            ),
+                        });
+                        class_of.insert(root, class_plans.len() - 1);
+                        class_plans.len() - 1
+                    }
+                };
                 fplans.push(FieldPlan::Atomic { class });
             }
         }
@@ -807,30 +863,11 @@ pub(crate) fn prepare<'m>(
         });
     }
 
-    // Precompute source attribute indices for fast projection.
-    let src_attr_idx = |r: &PathRef| -> Result<usize, ChaseError> {
-        let set = &m.source_vars[r.var].set;
-        Ok(source_schema.attr_index(set, &r.attr)?)
-    };
-    let mut slot_arg_idx: Vec<Vec<(usize, usize)>> = Vec::with_capacity(slots.len());
-    for args in &slot_args {
-        let mut v = Vec::with_capacity(args.len());
-        for a in args {
-            v.push((a.var, src_attr_idx(a)?));
-        }
-        slot_arg_idx.push(v);
-    }
-    let mut assignment_idx: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
-    for (class, r) in &assignment {
-        assignment_idx.insert(*class, (r.var, src_attr_idx(r)?));
-    }
-
     Ok(Prepared {
         m,
         slots,
-        slot_arg_idx,
-        assignment_idx,
-        class_tag,
+        arg_lists,
+        classes: class_plans,
         plans,
     })
 }
@@ -885,28 +922,37 @@ pub(crate) fn fire(
     let Prepared {
         m,
         slots,
-        slot_arg_idx,
-        assignment_idx,
-        class_tag,
+        arg_lists,
+        classes,
         plans,
     } = p;
 
+    // Each distinct grouping-argument list is projected, hashed and
+    // allocated once, then shared by every slot grouped by it. Projecting
+    // lists in first-use order imports source nulls in the order a per-slot
+    // projection would.
+    let args = arg_lists
+        .iter()
+        .map(|list| {
+            list.iter()
+                .map(|&(var, idx)| project(m, target, binding, var, idx))
+                .collect::<Result<Vec<_>, _>>()
+                .map(SkolemArgs::new)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     // SetIDs for every filled nested set, per this binding.
-    let mut set_ids = Vec::with_capacity(slots.len());
-    for (slot, s) in slots.iter().enumerate() {
-        let mut args = Vec::with_capacity(slot_arg_idx[slot].len());
-        for &(var, idx) in &slot_arg_idx[slot] {
-            args.push(project(m, target, binding, var, idx)?);
-        }
-        set_ids.push(target.group(s.path.clone(), args));
-    }
+    let set_ids: Vec<SetId> = slots
+        .iter()
+        .map(|s| target.group_shared(&s.path, &args[s.args]))
+        .collect();
 
     // The binding key that Skolemizes unassigned nulls: all atomic values of
-    // the whole binding, flattened in variable order.
-    let mut binding_key: Option<Vec<Value>> = None;
+    // the whole binding, flattened in variable order. Built at most once and
+    // shared by all of the binding's nulls.
+    let mut binding_key: Option<SkolemArgs> = None;
 
     // Class values, computed lazily per binding.
-    let mut class_values: BTreeMap<usize, Value> = BTreeMap::new();
+    let mut class_values: Vec<Option<Value>> = vec![None; classes.len()];
 
     for plan in plans {
         let mut tuple = Vec::with_capacity(plan.fields.len());
@@ -914,28 +960,27 @@ pub(crate) fn fire(
             match f {
                 FieldPlan::Set { slot } => tuple.push(Value::Set(set_ids[*slot])),
                 FieldPlan::Atomic { class } => {
-                    if let Some(v) = class_values.get(class) {
+                    if let Some(v) = &class_values[*class] {
                         tuple.push(v.clone());
                         continue;
                     }
-                    let v = if let Some(&(var, idx)) = assignment_idx.get(class) {
-                        project(m, target, binding, var, idx)?
-                    } else {
-                        let key = binding_key.get_or_insert_with(|| {
-                            binding
-                                .iter()
-                                .flat_map(|t| t.iter())
-                                .filter(|v| matches!(v, Value::Atom(_)))
-                                .cloned()
-                                .collect()
-                        });
-                        let tag = class_tag
-                            .get(class)
-                            .cloned()
-                            .unwrap_or_else(|| format!("{}:class{}", m.name, class));
-                        Value::Null(target.store_mut().null_id(tag, key.clone()))
+                    let v = match &classes[*class] {
+                        ClassPlan::Source(var, idx) => project(m, target, binding, *var, *idx)?,
+                        ClassPlan::Null(tag) => {
+                            let key = binding_key.get_or_insert_with(|| {
+                                SkolemArgs::new(
+                                    binding
+                                        .iter()
+                                        .flatten()
+                                        .filter(|v| v.is_constant())
+                                        .cloned()
+                                        .collect::<Arc<[Value]>>(),
+                                )
+                            });
+                            Value::Null(target.store_mut().null_id_shared(tag, key))
+                        }
                     };
-                    class_values.insert(*class, v.clone());
+                    class_values[*class] = Some(v.clone());
                     tuple.push(v);
                 }
             }

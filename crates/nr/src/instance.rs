@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::atom::Atom;
 use crate::error::NrError;
 use crate::schema::{Schema, SetPath};
-use crate::term::{NullId, SetId, TermStore};
+use crate::term::{NullId, SetId, SkolemArgs, TermStore};
 use crate::types::Ty;
 
 /// A value in an instance: an atomic constant, a labeled null, a SetID, or a
@@ -116,6 +116,14 @@ impl Instance {
     /// empty set of tuples for it if new.
     pub fn group(&mut self, set: SetPath, args: Vec<Value>) -> SetId {
         let id = self.store.set_id(set, args);
+        self.sets.entry(id).or_default();
+        id
+    }
+
+    /// [`Instance::group`] from shared arguments (see
+    /// [`TermStore::set_id_shared`]).
+    pub fn group_shared(&mut self, set: &SetPath, args: &SkolemArgs) -> SetId {
+        let id = self.store.set_id_shared(set, args);
         self.sets.entry(id).or_default();
         id
     }

@@ -34,5 +34,5 @@ pub use constraints::{Constraints, Fd, ForeignKey, Key};
 pub use error::NrError;
 pub use instance::{Instance, Tuple, Value};
 pub use schema::{Schema, SetPath};
-pub use term::{NullId, SetId, Term, TermStore};
+pub use term::{NullId, SetId, SkolemArgs, Term, TermStore};
 pub use types::{Field, Ty};

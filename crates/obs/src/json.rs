@@ -165,7 +165,11 @@ impl Json {
     /// Parse a JSON document (the whole input must be one value).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -210,9 +214,20 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deeply arrays and objects may nest before [`Json::parse`] gives up
+/// with an error instead of recursing further. The deepest document the
+/// program writes is a WAL snapshot record carrying a `delta` blob: record →
+/// `delta` → `entries` → entry → `live` → binding → tuple, seven containers
+/// (question and report payloads nest less). 128 leaves a wide margin above
+/// that and stays well below the 1,000 levels that parse without overflow
+/// on a 2 MiB thread stack, so no request body or WAL frame can overflow it.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -257,11 +272,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting exceeds the depth limit"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -434,6 +463,33 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("'single'").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A request body's worth of `[` on a thread with the default
+        // spawned-thread stack size.
+        let result = std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(|| Json::parse(&"[".repeat(100_000)).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(result);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! oracle sessions over real TCP, error statuses, backpressure, and
 //! restart-replay on the same WAL.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -221,6 +223,41 @@ fn protocol_errors_have_the_documented_statuses() {
         .request("GET", &format!("/sessions/{id}/report"), None)
         .unwrap();
     assert_eq!(status, 409);
+
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap();
+}
+
+#[test]
+fn deeply_nested_body_is_rejected_and_the_server_stays_up() {
+    let (client, server, handle) = spawn(ServerConfig::default());
+    let addr = server.local_addr().unwrap().to_string();
+
+    // 100,000 unclosed `[`: a recursive parser without a depth limit
+    // overflows its stack on this and aborts the whole process.
+    let body = "[".repeat(100_000);
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    write!(
+        stream,
+        "POST /sessions HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("read reply");
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+
+    let health = client.healthz().expect("healthz after the deep body");
+    assert_eq!(
+        health.get("ok"),
+        Some(&Json::Bool(true)),
+        "{}",
+        health.render()
+    );
+    assert_eq!(server.store().len(), 0);
 
     client.shutdown().expect("shutdown");
     handle.join().unwrap();
