@@ -13,8 +13,10 @@
 //!
 //! Invariants asserted every run: `serve.accepts <= serve.requests`
 //! (keep-alive actually reuses connections), `serve.cache_hits > 0` (the
-//! 64 identical sessions share probe work), and on the replayed server
-//! every completed session restores from its snapshot. With `MUSE_GATE=1`
+//! 64 identical sessions share probe work), `wizard.questions <=
+//! serve.answers + serve.sessions_created` after the load phase (resident
+//! sessions build one question per answer, none by replay), and on the
+//! replayed server every completed session restores from its snapshot. With `MUSE_GATE=1`
 //! (CI) the warm hot path is gated: after the load phase, one serial
 //! client drives a fresh session on the quiet, cache-warm server, and the
 //! p50 of its answer round-trips must stay under 5 ms. (The load phase's
@@ -215,6 +217,15 @@ fn main() {
         snapshots_written > 0,
         "no WAL snapshots written across {sessions} sessions"
     );
+    // Resident sessions: a create builds the first question and an answer
+    // at most one more, so no rebuild or replay happened under load.
+    let wizard_questions = snapshot.counter("wizard.questions");
+    let answers_plus_sessions =
+        snapshot.counter("serve.answers") + snapshot.counter("serve.sessions_created");
+    assert!(
+        wizard_questions <= answers_plus_sessions,
+        "{wizard_questions} wizard questions built for {answers_plus_sessions} answers + sessions"
+    );
 
     // Phase 2.75: degraded mode. A sticky WAL append fault trips the
     // health state machine; mutations are shed with 503 while the server
@@ -395,6 +406,11 @@ fn main() {
             ("keepalive_reuses", Json::Int(keepalive_reuses as i64)),
             ("cache_hits", Json::Int(cache_hits as i64)),
             ("cache_misses", Json::Int(cache_misses as i64)),
+            ("wizard_questions", Json::Int(wizard_questions as i64)),
+            (
+                "answers_plus_sessions",
+                Json::Int(answers_plus_sessions as i64),
+            ),
             ("snapshots", Json::Int(snapshots_written as i64)),
             ("wal_compactions", Json::Int(compactions as i64)),
             ("handle", handle),

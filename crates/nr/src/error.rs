@@ -33,6 +33,8 @@ pub enum NrError {
     UnknownSetId,
     /// Duplicate root or field label in a schema.
     DuplicateLabel(String),
+    /// Schema text nests set/choice types deeper than the parser's limit.
+    NestingTooDeep { limit: usize },
 }
 
 impl fmt::Display for NrError {
@@ -74,6 +76,9 @@ impl fmt::Display for NrError {
             }
             NrError::UnknownSetId => write!(f, "set id does not belong to this instance"),
             NrError::DuplicateLabel(l) => write!(f, "duplicate label `{l}`"),
+            NrError::NestingTooDeep { limit } => {
+                write!(f, "schema types nest deeper than {limit} levels")
+            }
         }
     }
 }

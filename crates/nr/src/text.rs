@@ -209,10 +209,19 @@ fn print_field(out: &mut String, f: &Field, depth: usize) {
     }
 }
 
+/// The deepest nesting of `set of { … }` / `choice { … }` types that
+/// [`parse_schema`] accepts. The parser recurses once per level, and schema
+/// files come from disk, so a hostile file could otherwise overflow the
+/// stack (100,000 levels overflow an 8 MiB thread stack). Real schemas
+/// nest a few levels; 64 leaves a wide margin.
+pub const MAX_DEPTH: usize = 64;
+
 /// Tiny whitespace tokenizer with `#` comments.
 struct Parser {
     tokens: Vec<String>,
     pos: usize,
+    /// Set and choice types currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -241,7 +250,11 @@ impl Parser {
                 tokens.push(cur);
             }
         }
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     fn at_end(&self) -> bool {
@@ -316,25 +329,27 @@ impl Parser {
             "string" => Ok(Ty::Str),
             "set" => {
                 self.expect_word("of")?;
-                self.expect_punct('{')?;
-                let mut fields = Vec::new();
-                while self.peek() != Some("}") {
-                    fields.push(self.field()?);
-                }
-                self.expect_punct('}')?;
-                Ok(Ty::set_of(fields))
+                Ok(Ty::set_of(self.fields()?))
             }
-            "choice" => {
-                self.expect_punct('{')?;
-                let mut fields = Vec::new();
-                while self.peek() != Some("}") {
-                    fields.push(self.field()?);
-                }
-                self.expect_punct('}')?;
-                Ok(Ty::Choice(fields))
-            }
+            "choice" => Ok(Ty::Choice(self.fields()?)),
             other => Err(NrError::UnknownPath(format!("unknown type `{other}`"))),
         }
+    }
+
+    /// `{ field … }`, at most [`MAX_DEPTH`] levels deep.
+    fn fields(&mut self) -> Result<Vec<Field>, NrError> {
+        if self.depth == MAX_DEPTH {
+            return Err(NrError::NestingTooDeep { limit: MAX_DEPTH });
+        }
+        self.depth += 1;
+        self.expect_punct('{')?;
+        let mut fields = Vec::new();
+        while self.peek() != Some("}") {
+            fields.push(self.field()?);
+        }
+        self.expect_punct('}')?;
+        self.depth -= 1;
+        Ok(fields)
     }
 
     /// `Path(attr attr …)`.
@@ -497,6 +512,51 @@ mod tests {
               A(x) -> B()
         ";
         assert!(parse_schema(bad_ref).is_err());
+    }
+
+    /// `levels` nested sets, the innermost holding one attribute.
+    fn nested(levels: usize) -> String {
+        let mut text = String::from("schema S\n");
+        for i in 0..levels {
+            text.push_str(&format!("s{i}: set of {{\n"));
+        }
+        text.push_str("x: int\n");
+        text.push_str(&"}\n".repeat(levels));
+        text
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let (schema, _) = parse_schema(&nested(MAX_DEPTH)).unwrap();
+        let mut inner = SetPath::parse("s0");
+        for i in 1..MAX_DEPTH {
+            inner = inner.child(format!("s{i}"));
+        }
+        assert!(schema.has_set(&inner));
+        assert_eq!(
+            parse_schema(&nested(MAX_DEPTH + 1)).unwrap_err(),
+            NrError::NestingTooDeep { limit: MAX_DEPTH }
+        );
+        let choices = format!(
+            "schema S\nc: {}x: int {}",
+            "choice { c: ".repeat(MAX_DEPTH + 1),
+            "} ".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse_schema(&choices).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A hostile schema file on a thread with the default spawned-thread
+        // stack size: unbounded, 100,000 levels overflow even 8 MiB.
+        let text = format!("schema S\n{}", "s: set of {\n".repeat(100_000));
+        let result = std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(move || parse_schema(&text).map(|_| ()))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(result, Err(NrError::NestingTooDeep { limit: MAX_DEPTH }));
     }
 
     #[test]

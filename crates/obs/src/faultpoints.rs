@@ -69,7 +69,7 @@ pub const SERVE_WAL_COMPACT: &str = "serve.wal.compact";
 /// readable.
 pub const SERVE_WAL_OPEN: &str = "serve.wal.open";
 
-/// One `Session::step` run inside the session server, wrapped in
+/// One session step (`SessionEntry::advance`) inside the server, wrapped in
 /// `catch_unwind`. Panic isolated: a panic fails the request with a
 /// structured 500 and counts toward the session's quarantine threshold.
 /// Non-panic faults at this point are no-ops (the server has no budget

@@ -18,10 +18,12 @@
 //!
 //! Durability: every session-mutating request is recorded in an
 //! append-only answer log ([`wal`]) *before* it is acknowledged, so a
-//! restarted server deterministically replays every session to its exact
-//! pre-crash question — the wizard refactored into a stepwise state
-//! machine ([`muse_wizard::Session::step`]) makes resumption the same code
-//! path as answering one more question. Periodic *snapshot* records keep
+//! restarted server deterministically rebuilds every session to its exact
+//! pre-crash question. Each open session keeps its resumable wizard state
+//! ([`muse_wizard::SessionState`]) in memory, so an answer builds one
+//! question; that state is a cache of the answer log, rebuilt from it
+//! ([`muse_wizard::Session::resume`]) after a restart, a rollback or a
+//! panic. Periodic *snapshot* records keep
 //! resume cheap: a session whose latest snapshot covers all its answers
 //! restores in O(1), and WAL compaction drops superseded snapshots so the
 //! log stays bounded by the answer history. A corrupt WAL never takes the

@@ -17,7 +17,7 @@ use muse_cliogen::{desired_grouping, GroupingStrategy};
 use muse_mapping::ambiguity::{or_groups, select_multi};
 use muse_mapping::PathRef;
 use muse_nr::SetPath;
-use muse_wizard::{Answer, Designer, OracleDesigner, PendingQuestion, WizardError};
+use muse_wizard::{Answer, OracleDesigner, PendingQuestion, WizardError};
 
 use crate::store::SessionCtx;
 
@@ -94,11 +94,7 @@ impl Intentions {
             OracleDesigner::new(&ctx.scenario.source_schema, &ctx.scenario.target_schema);
         oracle.intended_groupings = self.groupings.clone();
         oracle.intended_choices = self.choices.clone();
-        match q {
-            PendingQuestion::Grouping(g) => Ok(Answer::Scenario(oracle.pick_scenario(g)?)),
-            PendingQuestion::Disambiguation(d) => Ok(Answer::Choices(oracle.fill_choices(d)?)),
-            PendingQuestion::Join(j) => Ok(Answer::Join(oracle.pick_join(j)?)),
-        }
+        q.answer_with(&mut oracle)
     }
 }
 

@@ -13,10 +13,13 @@
 //! idle timeout). An idle keep-alive connection therefore costs no
 //! thread, and `serve.accepts` tracks connections, not requests.
 //!
-//! Hot-path cost model (the quadratic-resume fix):
+//! Hot-path cost model:
+//! - each open session keeps its wizard state resident, so an answer
+//!   builds one question; rollbacks, panics and restarts drop the state
+//!   and the next step rebuilds it from the answer log once;
 //! - every `snapshot_every` accepted answers the session's rendered state
 //!   is snapshotted into the WAL, so a restart restores sessions whose
-//!   snapshot is current in O(1) and replays the rest once;
+//!   snapshot is current in O(1) and rebuilds the rest once;
 //! - identical deterministic probes across sessions hit the process-wide
 //!   [`ProbeCache`] (`serve.cache_hits` / `serve.cache_misses`), so N
 //!   identical-config sessions pay for each wizard question once;
@@ -1290,6 +1293,7 @@ fn replay(
                 entry.status = SessionStatus::Open {
                     seq: *answers,
                     question: payload.clone(),
+                    state: None,
                 };
                 store.note_opened();
             }

@@ -1,5 +1,6 @@
 //! The in-memory session store: per-session state plus the stepping logic
-//! that drives `muse_wizard::Session::step` from a recorded answer list.
+//! that drives a resident `muse_wizard::SessionState` one answer at a time,
+//! rebuilding it from the recorded answer list when it is missing.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,7 +12,7 @@ use muse_cliogen::GroupingStrategy;
 use muse_nr::Instance;
 use muse_obs::{Budget, Json, Metrics};
 use muse_scenarios::Scenario;
-use muse_wizard::{Answer, ProbeCache, Session, Step, WizardError};
+use muse_wizard::{Answer, ProbeCache, Session, SessionState, Step, WizardError};
 
 use crate::oracle;
 use crate::proto;
@@ -320,6 +321,10 @@ pub enum SessionStatus {
         seq: usize,
         /// The cached `question_json` payload.
         question: Json,
+        /// The resident wizard state, waiting on question `seq`: a cache of
+        /// the answer log, absent after a snapshot restore, a rollback or a
+        /// failed step, and then rebuilt from `answers` on the next advance.
+        state: Option<Box<SessionState>>,
     },
     /// All questions answered.
     Done {
@@ -362,18 +367,25 @@ pub struct SessionEntry {
     /// `panic_quarantine` threshold the session is poisoned. Reset by a
     /// successful step.
     pub panics: u32,
-    /// The session's incremental chase store: probe chases across the
-    /// quadratic replay rederive unchanged bindings from materialized
-    /// state instead of re-chasing from scratch. Byte-invisible in every
-    /// response (scratch fallback under budgets/faults); serialized into
-    /// WAL snapshot records so a restart restores it warm.
+    /// The session's incremental chase store: probe chases rederive
+    /// unchanged bindings from materialized state instead of re-chasing
+    /// from scratch. Byte-invisible in every response (scratch fallback
+    /// under budgets/faults); serialized into WAL snapshot records so a
+    /// restart restores it warm.
     pub delta: Arc<DeltaStore>,
 }
 
 impl SessionEntry {
-    /// Re-run the stepper over the recorded answers and refresh `status`.
-    /// Returns the step so callers (the oracle loop, the create handler)
-    /// can act on the typed question without re-parsing JSON.
+    /// Bring the session to the step its recorded answers reach and refresh
+    /// `status`. Returns the step so callers (the oracle loop, the create
+    /// handler) can act on the typed question without re-parsing JSON.
+    ///
+    /// The resident state is fed the last answer when it stands one answer
+    /// behind the log, and returns its open question when it is level with
+    /// it. Otherwise (a fresh entry, a snapshot restore, a rolled-back
+    /// answer, a failed or panicked step) the state is rebuilt from the
+    /// whole log. The state is taken out of `status` before stepping and
+    /// put back only on success, so an error or a panic leaves none behind.
     ///
     /// `probes` is the process-wide probe/example memo; it is attached
     /// only when the budget is unlimited — under a deadline or count cap,
@@ -412,7 +424,25 @@ impl SessionEntry {
         session.instance_only = self.cfg.instance_only;
         session.offer_join_options = self.cfg.join_options;
 
-        let step = session.step(&self.ctx.mappings, &self.answers)?;
+        let resident = match &mut self.status {
+            SessionStatus::Open { state, .. } => state.take(),
+            _ => None,
+        };
+        let mappings = &self.ctx.mappings;
+        let (state, step) = match (resident, self.answers.split_last()) {
+            (Some(mut st), Some((last, before))) if st.answered() == before.len() => {
+                let step = session.advance(mappings, &mut st, Some(last.clone()))?;
+                (st, step)
+            }
+            (Some(mut st), _) if st.answered() == self.answers.len() => {
+                let step = session.advance(mappings, &mut st, None)?;
+                (st, step)
+            }
+            _ => {
+                let (st, step) = session.resume(mappings, &self.answers)?;
+                (Box::new(st), step)
+            }
+        };
         self.status = match &step {
             Step::Ask { seq, question } => SessionStatus::Open {
                 seq: *seq,
@@ -422,6 +452,7 @@ impl SessionEntry {
                     &self.ctx.scenario.source_schema,
                     &self.ctx.scenario.target_schema,
                 ),
+                state: Some(state),
             },
             Step::Done(report) => SessionStatus::Done {
                 report: proto::report_json(report),

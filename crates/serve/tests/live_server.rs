@@ -1,15 +1,29 @@
 //! End-to-end tests against a live in-process server: interactive and
-//! oracle sessions over real TCP, error statuses, backpressure, and
-//! restart-replay on the same WAL.
+//! oracle sessions over real TCP, error statuses, backpressure,
+//! restart-replay on the same WAL, and the rollbacks (rejected answer, WAL
+//! append failure, step panic) that drop a session's resident wizard state.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use muse_obs::{Json, Metrics};
 use muse_serve::{client, proto, Client, Server, ServerConfig};
+
+/// Fault plans are process-global: a test that arms one holds this lock
+/// exclusively, every other test holds it shared, so no armed fault fires
+/// inside another test's server.
+static FAULTS: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    FAULTS.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    FAULTS.write().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Bind + run a server on an ephemeral port; returns (client, server,
 /// join handle). Callers must `client.shutdown()` and join.
@@ -84,6 +98,7 @@ fn drive(client: &Client, id: u64, mut state: Json) -> Vec<Json> {
 
 #[test]
 fn interactive_session_matches_offline_stepper() {
+    let _faults = shared();
     let (client, server, handle) = spawn(ServerConfig::default());
 
     let created = client.create_session(&small_cfg("DBLP")).expect("create");
@@ -142,6 +157,7 @@ fn interactive_session_matches_offline_stepper() {
 
 #[test]
 fn oracle_session_completes_on_create() {
+    let _faults = shared();
     let (client, _server, handle) = spawn(ServerConfig::default());
 
     let mut cfg = small_cfg("DBLP");
@@ -169,6 +185,7 @@ fn oracle_session_completes_on_create() {
 
 #[test]
 fn protocol_errors_have_the_documented_statuses() {
+    let _faults = shared();
     let (client, _server, handle) = spawn(ServerConfig {
         max_sessions: 1,
         ..ServerConfig::default()
@@ -230,6 +247,7 @@ fn protocol_errors_have_the_documented_statuses() {
 
 #[test]
 fn deeply_nested_body_is_rejected_and_the_server_stays_up() {
+    let _faults = shared();
     let (client, server, handle) = spawn(ServerConfig::default());
     let addr = server.local_addr().unwrap().to_string();
 
@@ -265,6 +283,7 @@ fn deeply_nested_body_is_rejected_and_the_server_stays_up() {
 
 #[test]
 fn capacity_overflow_is_shed_with_503() {
+    let _faults = shared();
     let (client, server, handle) = spawn(ServerConfig {
         max_sessions: 1,
         ..ServerConfig::default()
@@ -285,6 +304,7 @@ fn capacity_overflow_is_shed_with_503() {
 
 #[test]
 fn restart_on_the_same_wal_replays_open_sessions() {
+    let _faults = shared();
     let dir = std::env::temp_dir().join(format!("muse_serve_replay_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -341,6 +361,7 @@ fn restart_on_the_same_wal_replays_open_sessions() {
 /// session continues at the identical question.
 #[test]
 fn restart_restores_the_incremental_chase_state() {
+    let _faults = shared();
     let dir = std::env::temp_dir().join(format!("muse_serve_delta_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -392,6 +413,204 @@ fn restart_restores_the_incremental_chase_state() {
         .and_then(Json::as_int);
     assert_eq!(restores, Some(1), "{}", metrics.render());
 
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The offline reference for a no-instance DBLP session after `answers`
+/// (wire encoding): the question payload `Session::step` renders, or
+/// `None` once the session is done.
+fn offline_question(answers: &[Json]) -> Option<String> {
+    let cfg = muse_serve::SessionCfg {
+        scenario: "DBLP".to_owned(),
+        use_instance: false,
+        ..muse_serve::SessionCfg::default()
+    };
+    let ctx = muse_serve::store::SessionCtx::build(&cfg).unwrap();
+    let s = &ctx.scenario;
+    let session =
+        muse_wizard::Session::new(&s.source_schema, &s.target_schema, &s.source_constraints)
+            .with_real_example_budget(None);
+    let answers: Vec<_> = answers
+        .iter()
+        .map(|a| proto::answer_from_json(a).unwrap())
+        .collect();
+    match session.step(&ctx.mappings, &answers).unwrap() {
+        muse_wizard::Step::Ask { seq, question } => {
+            Some(proto::question_json(seq, &question, &s.source_schema, &s.target_schema).render())
+        }
+        muse_wizard::Step::Done(_) => None,
+    }
+}
+
+/// Open a no-instance DBLP session and give it `n` default answers.
+/// Returns its id, the answers given and its open question.
+fn open_and_answer(client: &Client, n: usize) -> (u64, Vec<Json>, Json) {
+    let created = client.create_session(&small_cfg("DBLP")).expect("create");
+    let id = created.get("session").and_then(Json::as_int).unwrap() as u64;
+    let mut question = created.get("question").expect("open").clone();
+    let mut answers = Vec::new();
+    for _ in 0..n {
+        let answer = default_answer(&question);
+        let state = client.answer(id, &answer).expect("answer");
+        answers.push(answer);
+        question = state.get("question").expect("still open").clone();
+    }
+    (id, answers, question)
+}
+
+/// After a failed answer: the session still asks the offline question of
+/// `answers`, and retrying the answer is accepted with the offline
+/// question of `answers` plus it.
+fn assert_rolled_back(client: &Client, id: u64, answers: &mut Vec<Json>, answer: Json) {
+    let current = client.question(id).expect("question");
+    assert_eq!(
+        current.get("question").map(Json::render),
+        offline_question(answers),
+        "the failed answer must leave the session at its question"
+    );
+    let state = client.answer(id, &answer).expect("retried answer");
+    answers.push(answer);
+    assert_eq!(
+        state.get("question").map(Json::render),
+        offline_question(answers),
+        "the retried answer must reach the offline question"
+    );
+}
+
+fn counter(client: &Client, name: &str) -> i64 {
+    client
+        .metrics()
+        .expect("metrics")
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_int)
+        .unwrap_or(0)
+}
+
+#[test]
+fn rejected_answer_rolls_back_to_the_offline_question() {
+    let _faults = shared();
+    let (client, _server, handle) = spawn(ServerConfig::default());
+    let (id, mut answers, question) = open_and_answer(&client, 3);
+    let wrong = match question.get("kind").and_then(Json::as_str) {
+        Some("join") => Json::obj(vec![
+            ("kind", Json::str("scenario")),
+            ("pick", Json::Int(1)),
+        ]),
+        _ => Json::obj(vec![
+            ("kind", Json::str("join")),
+            ("pick", Json::str("inner")),
+        ]),
+    };
+    let (status, _) = client
+        .request("POST", &format!("/sessions/{id}/answer"), Some(&wrong))
+        .unwrap();
+    assert_eq!(status, 400);
+    assert_rolled_back(&client, id, &mut answers, default_answer(&question));
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap();
+}
+
+#[test]
+fn wal_append_fault_rolls_back_to_the_offline_question() {
+    let _faults = exclusive();
+    let dir = std::env::temp_dir().join(format!("muse_serve_walfault_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut client, _server, handle) = spawn(ServerConfig {
+        wal: Some(dir.join("sessions.wal")),
+        recovery_probe_ms: 10,
+        ..ServerConfig::default()
+    });
+    let (id, mut answers, question) = open_and_answer(&client, 3);
+
+    // The step accepts the answer, then its WAL append fails: the server
+    // sheds it and drops the answer (and the advanced state) again.
+    let answer = default_answer(&question);
+    client.retries = 0;
+    muse_fault::arm(muse_fault::parse_spec("serve.wal.append:io").unwrap());
+    let (status, _) = client
+        .request("POST", &format!("/sessions/{id}/answer"), Some(&answer))
+        .unwrap();
+    muse_fault::disarm();
+    assert_eq!(status, 503);
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client.healthz().ok().and_then(|h| h.get("state").cloned()) != Some(Json::str("healthy"))
+    {
+        assert!(Instant::now() < deadline, "server never recovered");
+        thread::sleep(Duration::from_millis(10));
+    }
+    assert_rolled_back(&client, id, &mut answers, answer);
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn step_panic_rolls_back_to_the_offline_question() {
+    let _faults = exclusive();
+    let (client, _server, handle) = spawn(ServerConfig::default());
+    let (id, mut answers, question) = open_and_answer(&client, 3);
+    let answer = default_answer(&question);
+    muse_fault::arm(muse_fault::parse_spec("serve.session.step:panic").unwrap());
+    let (status, _) = client
+        .request("POST", &format!("/sessions/{id}/answer"), Some(&answer))
+        .unwrap();
+    muse_fault::disarm();
+    assert_eq!(status, 500);
+    assert_rolled_back(&client, id, &mut answers, answer);
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap();
+}
+
+/// A session restored from a current WAL snapshot holds no wizard state:
+/// its next answer rebuilds the state from the log once (at most k + 1
+/// questions for a log of k answers), reaches the offline question, and
+/// the answer after it builds one question again.
+#[test]
+fn snapshot_restored_session_rebuilds_once() {
+    let _faults = shared();
+    let dir = std::env::temp_dir().join(format!("muse_serve_rebuild_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = || ServerConfig {
+        wal: Some(dir.join("sessions.wal")),
+        snapshot_every: 1,
+        ..ServerConfig::default()
+    };
+    let (client, _server, handle) = spawn(cfg());
+    let (id, mut answers, question) = open_and_answer(&client, 4);
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap();
+
+    let (client, _server, handle) = spawn(cfg());
+    assert_eq!(counter(&client, "serve.snapshot_restores"), 1);
+    let before = counter(&client, "wizard.questions");
+    let answer = default_answer(&question);
+    let state = client.answer(id, &answer).expect("answer after restart");
+    answers.push(answer);
+    let question = state.get("question").expect("still open").clone();
+    assert_eq!(Some(question.render()), offline_question(&answers));
+    let rebuilt = counter(&client, "wizard.questions") - before;
+    let k = answers.len() as i64;
+    assert!(
+        (1..=k + 1).contains(&rebuilt),
+        "rebuild over {k} answers built {rebuilt} questions"
+    );
+
+    let before = counter(&client, "wizard.questions");
+    let answer = default_answer(&question);
+    let state = client.answer(id, &answer).expect("resident answer");
+    answers.push(answer);
+    assert_eq!(
+        state.get("question").map(Json::render),
+        offline_question(&answers)
+    );
+    assert!(counter(&client, "wizard.questions") - before <= 1);
     client.shutdown().expect("shutdown");
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);

@@ -4,12 +4,12 @@
 //! `QIe` example search plus one or two chases. The inputs are purely
 //! deterministic — (schemas, constraints, instance, mapping text, probe
 //! parameters) — so a served deployment answering many similar sessions
-//! recomputes identical questions over and over, and `Session::step`
-//! replay makes even a single session quadratic in that unit.
-//! [`ProbeCache`] memoizes finished questions behind a bounded FIFO map
-//! shared across sessions (and threads), so a repeated probe degenerates
-//! to a lookup plus an `Arc` clone — the replay hot path never deep-copies
-//! a cached example.
+//! recomputes identical questions over and over. [`ProbeCache`] memoizes
+//! finished questions behind a bounded FIFO map shared across sessions
+//! (and threads), so a repeated probe degenerates to a lookup plus an
+//! `Arc` clone. A resident session never builds the same question twice,
+//! so its hits come from other sessions, or from its own earlier
+//! questions when its state is rebuilt from the answer log.
 //!
 //! Keys are the *full* rendered inputs (no hashing), prefixed with a
 //! caller-supplied context string covering everything outside the mapping
@@ -37,8 +37,7 @@ use crate::mused::DisambiguationQuestion;
 use crate::museg::GroupingQuestion;
 
 /// A memoized probe question. `Arc` so a hit is a pointer clone: the
-/// embedded example instances make a deep clone non-trivial, and the
-/// session-replay hot path takes one hit per already-answered question.
+/// embedded example instances make a deep clone non-trivial.
 enum CachedQuestion {
     Grouping(Arc<GroupingQuestion>),
     Disambiguation(Arc<DisambiguationQuestion>),

@@ -47,11 +47,6 @@ pub enum WizardError {
     /// (`MuseD::question`). Session-level paths never surface this: they
     /// skip the question with a warning instead.
     Truncated(String),
-    /// Internal sentinel of the stepwise driver (`Session::step`): the
-    /// replay designer ran out of recorded answers and captured the next
-    /// question instead. Never escapes `step` — callers see
-    /// [`crate::step::Step::Ask`].
-    Suspended,
 }
 
 impl fmt::Display for WizardError {
@@ -79,9 +74,6 @@ impl fmt::Display for WizardError {
             }
             WizardError::MalformedExample(msg) => write!(f, "malformed example: {msg}"),
             WizardError::Truncated(msg) => write!(f, "budget truncated: {msg}"),
-            WizardError::Suspended => {
-                write!(f, "session suspended awaiting the next designer answer")
-            }
         }
     }
 }

@@ -42,4 +42,4 @@ pub use mused::{DisambiguationOutcome, DisambiguationQuestion, MuseD};
 pub use museg::{GroupingOutcome, GroupingQuestion, MuseG};
 pub use report::render as render_report;
 pub use session::{Session, SessionReport};
-pub use step::{Answer, PendingQuestion, Step};
+pub use step::{Answer, PendingQuestion, SessionState, Step};

@@ -152,6 +152,19 @@ impl MuseD<'_> {
         core_var: usize,
         designer: &mut dyn Designer,
     ) -> Result<Option<Mapping>, WizardError> {
+        let q = self.join_question(m, core_var)?;
+        match designer.pick_join(&q)? {
+            JoinChoice::Inner => Ok(None),
+            JoinChoice::Outer => Ok(Some(q.companion)),
+        }
+    }
+
+    /// The inner/outer question about `core_var` of `m`.
+    pub(crate) fn join_question(
+        &self,
+        m: &Mapping,
+        core_var: usize,
+    ) -> Result<JoinQuestion, WizardError> {
         if m.is_ambiguous() {
             return Err(WizardError::BadAnswer(
                 "disambiguate before choosing join semantics".into(),
@@ -224,18 +237,14 @@ impl MuseD<'_> {
             &example,
             &[m.clone(), companion.clone()],
         )?;
-        let q = JoinQuestion {
+        Ok(JoinQuestion {
             mapping: m.name.clone(),
             dangling_var: m.source_vars[core_var].name.clone(),
             example,
             scenario_inner,
             scenario_outer,
             companion,
-        };
-        match designer.pick_join(&q)? {
-            JoinChoice::Inner => Ok(None),
-            JoinChoice::Outer => Ok(Some(q.companion)),
-        }
+        })
     }
 }
 

@@ -352,28 +352,59 @@ impl<'a> MuseD<'a> {
         m: &Mapping,
         designer: &mut dyn Designer,
     ) -> Result<DisambiguationOutcome, WizardError> {
-        let Some(q) = self.try_question(m)? else {
-            let groups = or_groups(m);
-            let picks = vec![vec![0usize]; groups.len()];
-            let selected = select_multi(m, &picks)?;
-            self.metrics.incr("wizard.skipped_questions");
-            return Ok(DisambiguationOutcome {
-                alternatives_encoded: alternatives_count(m),
-                num_choices: groups.len(),
-                example_tuples: 0,
-                real: false,
-                example_time: Duration::ZERO,
-                defaulted: true,
-                warnings: vec![format!(
-                    "{}: disambiguation question skipped (budget exceeded); \
-                     defaulted to the first alternative of every or-group",
-                    m.name
-                )],
-                selected,
-            });
-        };
-        self.metrics.incr("wizard.questions");
-        let picks = designer.fill_choices(&q)?;
+        match self.ask(m)? {
+            Some(q) => {
+                let picks = designer.fill_choices(&q)?;
+                self.select(m, &q, picks)
+            }
+            None => self.defaulted(m),
+        }
+    }
+
+    /// The question about `m` the designer is to answer; `None` when the
+    /// budget truncated its construction (see [`MuseD::defaulted`]).
+    pub(crate) fn ask(
+        &self,
+        m: &Mapping,
+    ) -> Result<Option<std::sync::Arc<DisambiguationQuestion>>, WizardError> {
+        let q = self.try_question(m)?;
+        if q.is_some() {
+            self.metrics.incr("wizard.questions");
+        }
+        Ok(q)
+    }
+
+    /// The outcome of a skipped question: the first alternative of every
+    /// or-group, with a warning.
+    pub(crate) fn defaulted(&self, m: &Mapping) -> Result<DisambiguationOutcome, WizardError> {
+        let groups = or_groups(m);
+        let picks = vec![vec![0usize]; groups.len()];
+        let selected = select_multi(m, &picks)?;
+        self.metrics.incr("wizard.skipped_questions");
+        Ok(DisambiguationOutcome {
+            alternatives_encoded: alternatives_count(m),
+            num_choices: groups.len(),
+            example_tuples: 0,
+            real: false,
+            example_time: Duration::ZERO,
+            defaulted: true,
+            warnings: vec![format!(
+                "{}: disambiguation question skipped (budget exceeded); \
+                 defaulted to the first alternative of every or-group",
+                m.name
+            )],
+            selected,
+        })
+    }
+
+    /// The outcome of the designer's `picks` for question `q` about `m`.
+    /// Malformed picks are a [`WizardError::BadAnswer`].
+    pub(crate) fn select(
+        &self,
+        m: &Mapping,
+        q: &DisambiguationQuestion,
+        picks: Vec<Vec<usize>>,
+    ) -> Result<DisambiguationOutcome, WizardError> {
         if picks.len() != q.choices.len() {
             return Err(WizardError::BadAnswer(format!(
                 "expected {} choice selections, got {}",

@@ -10,7 +10,7 @@ use muse_nr::SetPath;
 use crate::designer::Designer;
 use crate::error::WizardError;
 use crate::example::ClassSpace;
-use crate::museg::{refs_of, GroupingOutcome, MuseG};
+use crate::museg::{GroupingOutcome, GroupingState, MuseG};
 
 /// "Group more": probe each current argument of `SK` — keeping it keeps the
 /// current (finer) grouping, removing it merges groups. Returns the refined
@@ -72,24 +72,7 @@ fn refine(
             current_set,
         ),
     };
-    let mut outcome = GroupingOutcome {
-        sk: sk.clone(),
-        grouping: Vec::new(),
-        poss_size: space.len(),
-        questions: 0,
-        skipped_implied: 0,
-        skipped_inconsequential: 0,
-        real_examples: 0,
-        synthetic_examples: 0,
-        real_search_timeouts: 0,
-        example_time: std::time::Duration::ZERO,
-        multi_key_assumption: false,
-        skipped_truncated: 0,
-        warnings: Vec::new(),
-    };
-    let chosen = g.probe_loop(m, sk, &space, order, chosen0, 0, designer, &mut outcome)?;
-    outcome.grouping = refs_of(&space, chosen);
-    Ok(outcome)
+    g.drive(m, GroupingState::new(space, sk, order, chosen0), designer)
 }
 
 #[cfg(test)]

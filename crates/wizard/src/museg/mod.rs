@@ -19,6 +19,7 @@ pub mod incremental;
 pub mod instance_only;
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Duration;
 
 use muse_chase::chase_one_budget_planned_with;
@@ -135,6 +136,106 @@ pub struct GroupingOutcome {
     pub warnings: Vec<String>,
 }
 
+/// One grouping design between two designer answers: everything
+/// [`MuseG::design_grouping`] keeps across a question. It owns its data, so
+/// a caller can park it while the designer thinks and resume it with
+/// [`MuseG::advance_grouping`].
+#[derive(Debug, Clone)]
+pub(crate) struct GroupingState {
+    space: ClassSpace,
+    /// Attributes the instance-only analysis prunes (Sec. III-C).
+    inconsequential: AttrSet,
+    outcome: GroupingOutcome,
+    /// The multi-key question, until it is answered.
+    multi_key: Option<MultiKey>,
+    /// Attributes still to probe, in order.
+    pending: VecDeque<usize>,
+    chosen: AttrSet,
+    rejected_reps: AttrSet,
+    /// Consecutive deferrals of attributes that cannot be probed yet.
+    deferrals: usize,
+    /// The probed attribute of the open question.
+    asking: Option<usize>,
+}
+
+/// The multi-key branch of a design: grouping by `key` concludes it, and
+/// the `non_key` attributes are probed otherwise.
+#[derive(Debug, Clone)]
+struct MultiKey {
+    key: AttrSet,
+    req: ExampleRequest,
+    non_key: Vec<usize>,
+}
+
+impl GroupingState {
+    /// A design of `sk` probing `order`, with `chosen` kept unprobed.
+    pub(crate) fn new(space: ClassSpace, sk: &SetPath, order: Vec<usize>, chosen: AttrSet) -> Self {
+        GroupingState {
+            outcome: GroupingOutcome {
+                sk: sk.clone(),
+                grouping: Vec::new(),
+                poss_size: space.len(),
+                questions: 0,
+                skipped_implied: 0,
+                skipped_inconsequential: 0,
+                real_examples: 0,
+                synthetic_examples: 0,
+                real_search_timeouts: 0,
+                example_time: Duration::ZERO,
+                multi_key_assumption: false,
+                skipped_truncated: 0,
+                warnings: Vec::new(),
+            },
+            space,
+            inconsequential: 0,
+            multi_key: None,
+            pending: order.into(),
+            chosen,
+            rejected_reps: 0,
+            deferrals: 0,
+            asking: None,
+        }
+    }
+
+    /// Record the designer's answer to the open question.
+    pub(crate) fn answer(&mut self, choice: ScenarioChoice) -> Result<(), WizardError> {
+        let Some(a) = self.asking.take() else {
+            return Err(WizardError::BadAnswer(
+                "no grouping question is open".into(),
+            ));
+        };
+        if let Some(mk) = self.multi_key.take() {
+            match choice {
+                // Groups by a key: conclude with the first candidate key
+                // (same effect as any other key or superset).
+                ScenarioChoice::First => {
+                    self.outcome.multi_key_assumption = true;
+                    self.chosen = mk.key;
+                }
+                // Groups by non-key attributes only: probe them.
+                ScenarioChoice::Second => self.pending = mk.non_key.into(),
+            }
+            return Ok(());
+        }
+        match choice {
+            ScenarioChoice::First => self.chosen |= attrs([a]),
+            ScenarioChoice::Second => self.rejected_reps |= attrs([self.space.rep(a)]),
+        }
+        // Early conclusion: everything left is implied by the chosen set.
+        if self.space.closure(self.chosen) == all_attrs(self.space.len()) {
+            self.outcome.skipped_implied += self.pending.len();
+            self.pending.clear();
+        }
+        Ok(())
+    }
+
+    /// The outcome of a concluded design.
+    pub(crate) fn finish(mut self) -> GroupingOutcome {
+        self.outcome.grouping = refs_of(&self.space, self.chosen);
+        self.outcome
+    }
+}
+
 impl<'a> MuseG<'a> {
     /// A wizard with no real instance and no instance-only pruning.
     pub fn new(
@@ -189,13 +290,37 @@ impl<'a> MuseG<'a> {
 
     /// Design the grouping function of `sk` in `m` by interrogating
     /// `designer`. `m` itself is not modified; the result carries the
-    /// inferred grouping.
+    /// inferred grouping. A loop over [`MuseG::advance_grouping`].
     pub fn design_grouping(
         &self,
         m: &Mapping,
         sk: &SetPath,
         designer: &mut dyn Designer,
     ) -> Result<GroupingOutcome, WizardError> {
+        self.drive(m, self.start_grouping(m, sk)?, designer)
+    }
+
+    /// Answer `st`'s questions with `designer` until the design concludes.
+    pub(crate) fn drive(
+        &self,
+        m: &Mapping,
+        mut st: GroupingState,
+        designer: &mut dyn Designer,
+    ) -> Result<GroupingOutcome, WizardError> {
+        let mut answer = None;
+        while let Some(q) = self.advance_grouping(m, &mut st, answer)? {
+            answer = Some(designer.pick_scenario(&q)?);
+        }
+        Ok(st.finish())
+    }
+
+    /// Set up the design of `sk` in `m`: the probe order (Cor. 3.3) or the
+    /// multi-key question, asked by the first [`MuseG::advance_grouping`].
+    pub(crate) fn start_grouping(
+        &self,
+        m: &Mapping,
+        sk: &SetPath,
+    ) -> Result<GroupingState, WizardError> {
         if m.is_ambiguous() {
             return Err(WizardError::Mapping(
                 muse_mapping::MappingError::ConflictingAssignment {
@@ -205,67 +330,38 @@ impl<'a> MuseG<'a> {
         }
         let space = ClassSpace::new(m, self.source_schema, self.source_constraints)?;
         let n = space.len();
-        let mut outcome = GroupingOutcome {
-            sk: sk.clone(),
-            grouping: Vec::new(),
-            poss_size: n,
-            questions: 0,
-            skipped_implied: 0,
-            skipped_inconsequential: 0,
-            real_examples: 0,
-            synthetic_examples: 0,
-            real_search_timeouts: 0,
-            example_time: Duration::ZERO,
-            multi_key_assumption: false,
-            skipped_truncated: 0,
-            warnings: Vec::new(),
-        };
+        let mut st = GroupingState::new(space, sk, Vec::new(), 0);
         if n == 0 {
-            return Ok(outcome);
+            return Ok(st);
         }
+        let space = &st.space;
 
         // Instance-only pruning (Sec. III-C).
-        let inconsequential: AttrSet = if self.instance_only {
+        if self.instance_only {
             if let Some(real) = self.real_instance {
-                instance_only::inconsequential_attrs(m, &space, self.source_schema, real)?
-            } else {
-                0
+                st.inconsequential =
+                    instance_only::inconsequential_attrs(m, space, self.source_schema, real)?;
             }
-        } else {
-            0
-        };
-        outcome.skipped_inconsequential = iter_attrs(inconsequential).count();
+        }
+        st.outcome.skipped_inconsequential = iter_attrs(st.inconsequential).count();
 
         // Probe one attribute per equality class: two references the
         // `satisfy` clause equates always carry the same value, so grouping
         // by either has the same effect. Members beyond the representative
         // are skipped (they count as implied).
         let reps: Vec<usize> = (0..n).filter(|&i| space.rep(i) == i).collect();
-        outcome.skipped_implied += n - reps.len();
+        st.outcome.skipped_implied += n - reps.len();
 
         // Candidate keys, canonicalized to class representatives: keys that
         // differ only in which class member they name are the same key.
-        let keys = canonical_keys(&space);
+        let keys = canonical_keys(space);
         if keys.len() == 1 {
             // Single-keyed (Cor. 3.3): probe the key first, then the rest.
             let key = keys[0];
-            let mut order: Vec<usize> = reps
-                .iter()
-                .copied()
-                .filter(|i| key & attrs([*i]) != 0)
-                .collect();
-            order.extend(reps.iter().copied().filter(|i| key & attrs([*i]) == 0));
-            let chosen = self.probe_loop(
-                m,
-                sk,
-                &space,
-                order,
-                0,
-                inconsequential,
-                designer,
-                &mut outcome,
-            )?;
-            outcome.grouping = refs_of(&space, chosen);
+            let (mut order, rest): (Vec<usize>, Vec<usize>) =
+                reps.iter().partition(|&&i| key & attrs([i]) != 0);
+            order.extend(rest);
+            st.pending = order.into();
         } else {
             // Multiple candidate keys: one question decides whether the
             // designer groups by a key at all (grouping by one key has the
@@ -279,74 +375,76 @@ impl<'a> MuseG<'a> {
                     m.name
                 )));
             }
-            let differ: Vec<usize> = iter_attrs(union_keys).collect();
-            let req = ExampleRequest {
-                copies: 2,
-                agree,
-                differ,
-                distinct: vec![],
-                real_budget: self.real_example_budget,
-            };
-            let first_key = keys[0];
-            let Some(probed) = iter_attrs(first_key).next() else {
+            let key = keys[0];
+            if key == 0 {
                 return Err(WizardError::UnsupportedGrouping(format!(
                     "mapping {} has an empty candidate key",
                     m.name
                 )));
-            };
-            match self.make_question(m, sk, &space, &req, first_key, 0, probed)? {
+            }
+            st.multi_key = Some(MultiKey {
+                key,
+                req: ExampleRequest {
+                    copies: 2,
+                    agree,
+                    differ: iter_attrs(union_keys).collect(),
+                    distinct: vec![],
+                    real_budget: self.real_example_budget,
+                },
+                non_key: reps
+                    .iter()
+                    .copied()
+                    .filter(|i| non_key & attrs([*i]) != 0)
+                    .collect(),
+            });
+        }
+        Ok(st)
+    }
+
+    /// Feed `answer` to the open question of `st` (`None` on the first
+    /// call) and run the design to its next question. `None` means the design
+    /// concluded; [`GroupingState::finish`] yields the outcome. `m` must be
+    /// the mapping `st` was started on.
+    pub(crate) fn advance_grouping(
+        &self,
+        m: &Mapping,
+        st: &mut GroupingState,
+        answer: Option<ScenarioChoice>,
+    ) -> Result<Option<Arc<GroupingQuestion>>, WizardError> {
+        if let Some(choice) = answer {
+            st.answer(choice)?;
+        } else if let Some(MultiKey { key, req, .. }) = &st.multi_key {
+            let key = *key;
+            let probed = iter_attrs(key).next().unwrap_or(0);
+            let sk = st.outcome.sk.clone();
+            match self.make_question(m, &sk, &st.space, req, key, 0, probed)? {
+                Some(q) => {
+                    self.record_example(&mut st.outcome, &q.example);
+                    st.outcome.questions += 1;
+                    self.metrics.incr("wizard.questions");
+                    st.asking = Some(probed);
+                    return Ok(Some(q));
+                }
                 None => {
                     // Budget ran out before the question could be built.
                     // Skip it with a warning and default to grouping by the
                     // first candidate key — grouping by any key has the same
                     // effect, and it asks nothing further of the designer.
-                    outcome.skipped_truncated += 1;
-                    outcome.warnings.push(format!(
+                    st.outcome.skipped_truncated += 1;
+                    st.outcome.warnings.push(format!(
                         "{}: multi-key question for SK{} skipped (budget exceeded); \
                          defaulted to grouping by a candidate key",
                         m.name,
                         sk.label()
                     ));
                     self.metrics.incr("wizard.skipped_probes");
-                    outcome.multi_key_assumption = true;
-                    outcome.grouping = refs_of(&space, first_key);
-                }
-                Some(q) => {
-                    self.record_example(&mut outcome, &q.example);
-                    outcome.questions += 1;
-                    self.metrics.incr("wizard.questions");
-                    match designer.pick_scenario(&q)? {
-                        ScenarioChoice::First => {
-                            // Groups by a key: conclude with the first
-                            // candidate key (same effect as any other key or
-                            // superset).
-                            outcome.multi_key_assumption = true;
-                            outcome.grouping = refs_of(&space, first_key);
-                        }
-                        ScenarioChoice::Second => {
-                            // Groups by non-key attributes only: probe them.
-                            let order: Vec<usize> = reps
-                                .iter()
-                                .copied()
-                                .filter(|i| non_key & attrs([*i]) != 0)
-                                .collect();
-                            let chosen = self.probe_loop(
-                                m,
-                                sk,
-                                &space,
-                                order,
-                                0,
-                                inconsequential,
-                                designer,
-                                &mut outcome,
-                            )?;
-                            outcome.grouping = refs_of(&space, chosen);
-                        }
-                    }
+                    st.outcome.multi_key_assumption = true;
+                    st.chosen = key;
+                    st.multi_key = None;
                 }
             }
         }
-        Ok(outcome)
+        self.next_probe(m, st)
     }
 
     /// Design every grouping function of `m`, in the breadth-first target
@@ -357,71 +455,69 @@ impl<'a> MuseG<'a> {
         m: &mut Mapping,
         designer: &mut dyn Designer,
     ) -> Result<Vec<GroupingOutcome>, WizardError> {
-        let filled = m.filled_target_sets(self.target_schema)?;
         let mut outcomes = Vec::new();
-        for sk in self.target_schema.set_paths_bfs() {
-            if !filled.contains(&sk) {
-                continue;
-            }
+        for sk in self.grouping_order(m)? {
             let outcome = self.design_grouping(m, &sk, designer)?;
-            m.set_grouping(sk.clone(), Grouping::new(outcome.grouping.clone()));
+            m.set_grouping(sk, Grouping::new(outcome.grouping.clone()));
             outcomes.push(outcome);
         }
         Ok(outcomes)
     }
 
-    /// The shared probe loop: ask about each attribute of `order` in turn,
-    /// starting from the pre-chosen set `chosen0` (attributes that are kept
-    /// without probing — used by incremental group-less refinement).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_loop(
+    /// The nested sets `m` fills, in breadth-first target order: the order
+    /// [`MuseG::design_all_groupings`] designs them in.
+    pub(crate) fn grouping_order(&self, m: &Mapping) -> Result<Vec<SetPath>, WizardError> {
+        let filled = m.filled_target_sets(self.target_schema)?;
+        Ok(self
+            .target_schema
+            .set_paths_bfs()
+            .into_iter()
+            .filter(|sk| filled.contains(sk))
+            .collect())
+    }
+
+    /// The probe loop: take the attributes of `st.pending` in turn until
+    /// one can be asked about, and open its question.
+    fn next_probe(
         &self,
         m: &Mapping,
-        sk: &SetPath,
-        space: &ClassSpace,
-        order: Vec<usize>,
-        chosen0: AttrSet,
-        inconsequential: AttrSet,
-        designer: &mut dyn Designer,
-        outcome: &mut GroupingOutcome,
-    ) -> Result<AttrSet, WizardError> {
-        let mut chosen: AttrSet = chosen0;
-        let mut rejected_reps: AttrSet = 0;
-        let mut pending: VecDeque<usize> = order.into();
-        let mut deferrals = 0usize;
-        while let Some(a) = pending.pop_front() {
+        st: &mut GroupingState,
+    ) -> Result<Option<Arc<GroupingQuestion>>, WizardError> {
+        let space = &st.space;
+        let sk = &st.outcome.sk.clone();
+        while let Some(a) = st.pending.pop_front() {
             let a_bit = attrs([a]);
-            if inconsequential & a_bit != 0 {
+            if st.inconsequential & a_bit != 0 {
                 continue; // counted once in the outcome already
             }
-            if space.closure(chosen) & a_bit != 0 {
+            if space.closure(st.chosen) & a_bit != 0 {
                 // Thm. 3.2 (generalized to FDs): `a` is determined by the
                 // chosen attributes; including it cannot change the effect.
-                outcome.skipped_implied += 1;
+                st.outcome.skipped_implied += 1;
                 continue;
             }
-            if rejected_reps & attrs([space.rep(a)]) != 0 {
+            if st.rejected_reps & attrs([space.rep(a)]) != 0 {
                 // Same equality class as a rejected attribute: grouping by
                 // it would have the very same (rejected) effect.
-                outcome.skipped_implied += 1;
+                st.outcome.skipped_implied += 1;
                 continue;
             }
-            let agree_base = chosen | attrs(pending.iter().copied());
+            let agree_base = st.chosen | attrs(st.pending.iter().copied());
             let agree = space.closure(agree_base);
             if agree & a_bit != 0 {
                 // Cannot probe yet: `a` is determined by attributes that are
                 // still pending. Defer it; a later order usually unblocks.
-                deferrals += 1;
-                if deferrals > pending.len() + 1 {
+                st.deferrals += 1;
+                if st.deferrals > st.pending.len() + 1 {
                     return Err(WizardError::UnsupportedGrouping(format!(
                         "attribute {} of {} cannot be probed with key-valid examples",
                         space.poss[a].attr, m.name
                     )));
                 }
-                pending.push_back(a);
+                st.pending.push_back(a);
                 continue;
             }
-            deferrals = 0;
+            st.deferrals = 0;
             let req = ExampleRequest {
                 copies: 2,
                 agree,
@@ -429,37 +525,33 @@ impl<'a> MuseG<'a> {
                 distinct: vec![],
                 real_budget: self.real_example_budget,
             };
-            let Some(q) = self.make_question(m, sk, space, &req, chosen | a_bit, chosen, a)? else {
+            let Some(q) =
+                self.make_question(m, sk, space, &req, st.chosen | a_bit, st.chosen, a)?
+            else {
                 // The budget truncated this probe's example search or
                 // scenario chase: skip the question with a warning. The
                 // probed attribute (and its equality class) is left out of
                 // the grouping — a deterministic, conservative default.
-                outcome.skipped_truncated += 1;
-                outcome.warnings.push(format!(
+                st.outcome.skipped_truncated += 1;
+                let warning = format!(
                     "{}: probe of {} for SK{} skipped (budget exceeded); \
                      attribute left out of the grouping",
                     m.name,
                     m.source_ref_name(&space.poss[a]),
                     sk.label()
-                ));
+                );
+                st.outcome.warnings.push(warning);
                 self.metrics.incr("wizard.skipped_probes");
-                rejected_reps |= attrs([space.rep(a)]);
+                st.rejected_reps |= attrs([space.rep(a)]);
                 continue;
             };
-            self.record_example(outcome, &q.example);
-            outcome.questions += 1;
+            self.record_example(&mut st.outcome, &q.example);
+            st.outcome.questions += 1;
             self.metrics.incr("wizard.questions");
-            match designer.pick_scenario(&q)? {
-                ScenarioChoice::First => chosen |= a_bit,
-                ScenarioChoice::Second => rejected_reps |= attrs([space.rep(a)]),
-            }
-            // Early conclusion: everything left is implied by the chosen set.
-            if space.closure(chosen) == all_attrs(space.len()) {
-                outcome.skipped_implied += pending.len();
-                pending.clear();
-            }
+            st.asking = Some(a);
+            return Ok(Some(q));
         }
-        Ok(chosen)
+        Ok(None)
     }
 
     /// Build a probe question: construct the example and chase it under the
@@ -478,7 +570,7 @@ impl<'a> MuseG<'a> {
         with_set: AttrSet,
         without_set: AttrSet,
         probed: usize,
-    ) -> Result<Option<std::sync::Arc<GroupingQuestion>>, WizardError> {
+    ) -> Result<Option<Arc<GroupingQuestion>>, WizardError> {
         if let Some(f) = muse_fault::point(faultpoints::WIZARD_PROBE) {
             fault_reason(f).record(self.metrics);
             return Ok(None);
@@ -557,7 +649,7 @@ impl<'a> MuseG<'a> {
         };
         drop(probe_chase);
         let probed_ref = space.poss[probed].clone();
-        let question = std::sync::Arc::new(GroupingQuestion {
+        let question = Arc::new(GroupingQuestion {
             mapping: m.name.clone(),
             sk: sk.clone(),
             probed_name: m.source_ref_name(&probed_ref),

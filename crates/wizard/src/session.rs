@@ -8,17 +8,15 @@
 
 use std::time::Duration;
 
-use muse_mapping::{Grouping, Mapping};
+use muse_mapping::Mapping;
 use muse_nr::{Constraints, Instance, Schema};
 use muse_obs::{Budget, Metrics};
 
-use muse_mapping::WhereClause;
-
 use crate::designer::Designer;
 use crate::error::WizardError;
-use crate::mused::joins::outer_companion;
-use crate::mused::{DisambiguationOutcome, MuseD};
-use crate::museg::{GroupingOutcome, MuseG};
+use crate::mused::DisambiguationOutcome;
+use crate::museg::GroupingOutcome;
+use crate::step::SessionState;
 
 /// A full wizard session over one mapping scenario.
 #[derive(Debug, Clone, Copy)]
@@ -181,144 +179,26 @@ impl<'a> Session<'a> {
     }
 
     /// Run the wizard over `mappings` (e.g. the output of
-    /// `muse_cliogen::generate`), interrogating `designer`.
+    /// `muse_cliogen::generate`), interrogating `designer`: a loop over the
+    /// resumable machine of [`Session::advance`].
     pub fn run(
         &self,
         mappings: &[Mapping],
         designer: &mut dyn Designer,
     ) -> Result<SessionReport, WizardError> {
-        // Static selectivity hints from the declared source constraints:
-        // both wizards plan their chase/QIe joins with them (same answers,
-        // fewer query steps). Borrowed by the wizards for the whole run.
-        let hints = muse_query::SelectivityHints::from_constraints(
-            self.source_schema,
-            self.source_constraints,
-        );
-        let mut mused = MuseD::new(
-            self.source_schema,
-            self.target_schema,
-            self.source_constraints,
-        );
-        mused.real_instance = self.real_instance;
-        mused.budget = self.budget;
-        mused.metrics = self.metrics;
-        mused.real_example_budget = self.real_example_budget;
-        mused.probe_cache = self.probe_cache;
-        mused.plan_hints = Some(&hints);
-        mused.delta = self.delta;
-        let mut museg = MuseG::new(
-            self.source_schema,
-            self.target_schema,
-            self.source_constraints,
-        );
-        museg.real_instance = self.real_instance;
-        museg.instance_only = self.instance_only;
-        museg.budget = self.budget;
-        museg.metrics = self.metrics;
-        museg.real_example_budget = self.real_example_budget;
-        museg.probe_cache = self.probe_cache;
-        museg.plan_hints = Some(&hints);
-        museg.delta = self.delta;
-
-        // Phase 1: Muse-D on every ambiguous mapping.
-        let mut unambiguous: Vec<Mapping> = Vec::new();
-        let mut disambiguations = Vec::new();
-        for m in mappings {
-            if m.is_ambiguous() {
-                let out = mused.disambiguate(m, designer)?;
-                unambiguous.extend(out.selected.iter().cloned());
-                disambiguations.push(out);
-            } else {
-                unambiguous.push(m.clone());
+        let hints = self.hints();
+        let (d, g) = self.wizards(&hints);
+        let mut st = SessionState::default();
+        let mut answer = None;
+        loop {
+            if let Some(report) = self.proceed(&d, &g, mappings, &mut st, answer.take())? {
+                return Ok(report);
+            }
+            if let Some(q) = st.open() {
+                answer = Some(q.answer_with(designer)?);
             }
         }
-
-        // Phase 1.5 (optional): inner/outer join choices. For every source
-        // variable whose tuples feed target elements on their own, and whose
-        // standalone exchange is not already a mapping of Σ (like m3 in
-        // Fig. 1), ask whether dangling tuples should be exchanged too.
-        let mut join_questions = 0usize;
-        let mut companions: Vec<Mapping> = Vec::new();
-        if self.offer_join_options {
-            let snapshot = unambiguous.clone();
-            for m in &snapshot {
-                for v in 0..m.source_vars.len() {
-                    let Ok(companion) = outer_companion(m, v) else {
-                        continue;
-                    };
-                    if covered_by_sigma(&companion, &snapshot) {
-                        continue;
-                    }
-                    join_questions += 1;
-                    if let Some(mut c) = mused.design_join(m, v, designer)? {
-                        c.name = format!("{}~outer{}", m.name, companions.len() + 1);
-                        companions.push(c);
-                    }
-                }
-            }
-            unambiguous.extend(companions.iter().cloned());
-        }
-
-        // Phase 2: Muse-G on every grouping function of every mapping.
-        let mut groupings = Vec::new();
-        for m in &mut unambiguous {
-            let outcomes = museg.design_all_groupings(m, designer)?;
-            for o in outcomes {
-                m.set_grouping(o.sk.clone(), Grouping::new(o.grouping.clone()));
-                groupings.push((m.name.clone(), o));
-            }
-        }
-
-        let mut warnings: Vec<String> = Vec::new();
-        for d in &disambiguations {
-            warnings.extend(d.warnings.iter().cloned());
-        }
-        for (_, g) in &groupings {
-            warnings.extend(g.warnings.iter().cloned());
-        }
-
-        Ok(SessionReport {
-            mappings: unambiguous,
-            disambiguations,
-            groupings,
-            join_questions,
-            companions_added: companions.len(),
-            warnings,
-        })
     }
-}
-
-/// Does some mapping of Σ already exchange what `companion` would? True
-/// when a single-variable mapping over the same source set asserts at least
-/// the companion's correspondences (like `m3` covering the outer option of
-/// `m2` in Fig. 1).
-fn covered_by_sigma(companion: &Mapping, sigma: &[Mapping]) -> bool {
-    let triples = |m: &Mapping| -> Option<std::collections::BTreeSet<(String, String, String)>> {
-        if m.source_vars.len() != 1 {
-            return None;
-        }
-        Some(
-            m.wheres
-                .iter()
-                .filter_map(|w| match w {
-                    WhereClause::Eq { source, target } => Some((
-                        source.attr.clone(),
-                        m.target_vars[target.var].set.to_string(),
-                        target.attr.clone(),
-                    )),
-                    WhereClause::OrGroup { .. } => None,
-                })
-                .collect(),
-        )
-    };
-    let Some(needed) = triples(companion) else {
-        return true;
-    };
-    sigma.iter().any(|m| {
-        m.source_vars.len() == 1
-            && m.source_vars[0].set == companion.source_vars[0].set
-            && triples(m).is_some_and(|have| needed.is_subset(&have))
-    })
 }
 
 #[cfg(test)]

@@ -1,40 +1,40 @@
-//! Stepwise, resumable session driving.
+//! Resumable session driving.
 //!
-//! [`Session::run`] is a run-to-completion callback loop: the wizard calls
-//! the [`Designer`] and blocks until every question is answered. A network
-//! service needs the opposite shape — suspend after each question, hand the
-//! question to a remote client, and resume when (or *if*) the answer comes
-//! back, possibly in a different process after a crash.
+//! [`Session::run`] hands every question to a [`Designer`] callback and
+//! waits for the answer. A network service needs the opposite shape: hand
+//! the question to a remote client, park the session until (or *if*) the
+//! answer comes back, and survive a crash in between.
 //!
-//! [`Session::step`] provides that shape without forking the wizard logic:
-//! it replays the session against the ordered list of answers given so far
-//! using an internal replay designer. When the wizard asks question `k+1`
-//! after `k` recorded answers, the replay designer captures the question
-//! and aborts the run with the [`WizardError::Suspended`] sentinel, which
-//! `step` translates into [`Step::Ask`]. Once the answer list covers every
-//! question the wizard wants to ask, the run completes and `step` returns
-//! [`Step::Done`] with the same [`SessionReport`] a scripted
-//! run-to-completion session would have produced — byte for byte, because
-//! the wizard is deterministic in its inputs.
+//! [`SessionState`] is a parked session: the wizard's whole position
+//! between two answers. It holds the Muse-D cursor over the input mappings
+//! and the selections made so far, the join-phase cursor, the Muse-G
+//! design in progress (its probe queue, chosen and rejected attributes),
+//! the results so far, and the open question. It owns its data, so a
+//! server keeps it in memory across requests. [`Session::advance`] feeds it
+//! one answer and runs the wizard to the next question, so each answer
+//! builds one question. [`Session::run`] is a loop over the same machine,
+//! so a stepped session asks the questions a run-to-completion session
+//! asks, byte for byte.
 //!
-//! The trade-off is quadratic replay: advancing a session of `k` answers
-//! re-runs the wizard prefix `k` times over the whole session. Muse
-//! sessions are short (tens of questions) and each prefix run is
-//! milliseconds at service scales, and in exchange resumption is *trivially
-//! correct*: resuming from a write-ahead answer log after a crash is the
-//! exact same code path as answering one more question. Determinism
-//! caveat: replay equality requires an exhaustive real-example search
-//! (`Session::with_real_example_budget(None)`) — the default wall-clock
-//! cap can time out on one run and not the next.
+//! The state is a cache of the answer log, never the record of it.
+//! [`Session::resume`] rebuilds it from the answers in one pass (O(k) for
+//! k answers); a server does that after a restart, a rejected answer or a
+//! panic. [`Session::step`] is that rebuild, and serves as the reference
+//! a resident state is checked against. Determinism caveat: rebuilds match
+//! only under an exhaustive real-example search
+//! (`Session::with_real_example_budget(None)`); the default wall-clock cap
+//! can time out on one run and not the next.
 
-use muse_mapping::Mapping;
-use muse_nr::Schema;
+use std::sync::Arc;
+
+use muse_mapping::{Grouping, Mapping, WhereClause};
+use muse_nr::{Schema, SetPath};
 
 use crate::designer::{Designer, JoinChoice, ScenarioChoice};
 use crate::error::WizardError;
-use crate::mused::joins::JoinQuestion;
-use crate::mused::DisambiguationQuestion;
-use crate::museg::GroupingQuestion;
+use crate::mused::joins::{outer_companion, JoinQuestion};
+use crate::mused::{DisambiguationOutcome, DisambiguationQuestion, MuseD};
+use crate::museg::{GroupingOutcome, GroupingQuestion, GroupingState, MuseG};
 use crate::session::{Session, SessionReport};
 
 /// One recorded designer answer, in question order.
@@ -102,9 +102,18 @@ impl PendingQuestion {
             PendingQuestion::Join(q) => q.render(source_schema, target_schema),
         }
     }
+
+    /// Ask `designer` this question.
+    pub fn answer_with(&self, designer: &mut dyn Designer) -> Result<Answer, WizardError> {
+        Ok(match self {
+            PendingQuestion::Grouping(q) => Answer::Scenario(designer.pick_scenario(q)?),
+            PendingQuestion::Disambiguation(q) => Answer::Choices(designer.fill_choices(q)?),
+            PendingQuestion::Join(q) => Answer::Join(designer.pick_join(q)?),
+        })
+    }
 }
 
-/// What [`Session::step`] produced.
+/// What [`Session::advance`] or [`Session::step`] produced.
 #[derive(Debug, Clone)]
 pub enum Step {
     /// The answers cover questions `0..seq`; question `seq` is open.
@@ -119,121 +128,400 @@ pub enum Step {
     Done(Box<SessionReport>),
 }
 
-/// The replay designer: pops recorded answers in order and captures the
-/// first unanswered question.
-struct StepDesigner<'s> {
-    answers: &'s [Answer],
-    next: usize,
-    pending: Option<PendingQuestion>,
+/// A session between two designer answers; see the module docs.
+#[derive(Debug, Clone, Default)]
+pub struct SessionState {
+    /// Answers consumed so far.
+    answered: usize,
+    /// The question awaiting an answer.
+    open: Option<PendingQuestion>,
+    stage: Stage,
+    /// The unambiguous mappings so far: Muse-D's selections, then the
+    /// join companions, then grouped in place by Muse-G.
+    mappings: Vec<Mapping>,
+    disambiguations: Vec<DisambiguationOutcome>,
+    groupings: Vec<(String, GroupingOutcome)>,
+    join_questions: usize,
+    companions: Vec<Mapping>,
 }
 
-impl StepDesigner<'_> {
-    fn take<T>(
-        &mut self,
-        expected: &'static str,
-        capture: impl FnOnce() -> PendingQuestion,
-        accept: impl FnOnce(&Answer) -> Option<T>,
-    ) -> Result<T, WizardError> {
-        match self.answers.get(self.next) {
-            None => {
-                self.pending = Some(capture());
-                Err(WizardError::Suspended)
-            }
-            Some(a) => match accept(a) {
-                Some(v) => {
-                    self.next += 1;
-                    Ok(v)
-                }
-                None => Err(WizardError::BadAnswer(format!(
-                    "answer #{} has kind `{}` but question #{} expects `{}` \
-                     (the answer log does not match this session's question sequence)",
-                    self.next,
-                    a.kind(),
-                    self.next,
-                    expected
-                ))),
-            },
+/// The wizard phase a [`SessionState`] is in.
+#[derive(Debug, Clone)]
+enum Stage {
+    /// Muse-D over the input mappings: the one at this index is next.
+    Disambiguate(usize),
+    /// Inner/outer join questions over the first `sigma` mappings (the
+    /// disambiguated ones): source variable `var` of mapping `at` is next.
+    Joins { sigma: usize, at: usize, var: usize },
+    /// Muse-G: mapping `next - 1` has the target sets `sets` (in reverse
+    /// design order) left to design, besides the design in progress.
+    Groupings {
+        next: usize,
+        sets: Vec<SetPath>,
+        design: Option<Box<GroupingState>>,
+    },
+    /// The report was handed out.
+    Done,
+}
+
+impl Default for Stage {
+    fn default() -> Self {
+        Stage::Disambiguate(0)
+    }
+}
+
+impl SessionState {
+    /// Answers consumed so far; the open question, if any, has this index.
+    pub fn answered(&self) -> usize {
+        self.answered
+    }
+
+    /// The question awaiting an answer, if any.
+    pub(crate) fn open(&self) -> Option<&PendingQuestion> {
+        self.open.as_ref()
+    }
+
+    /// The open question as a [`Step::Ask`].
+    fn ask(&self) -> Result<Step, WizardError> {
+        match &self.open {
+            Some(q) => Ok(Step::Ask {
+                seq: self.answered,
+                question: Box::new(q.clone()),
+            }),
+            None => Err(WizardError::BadAnswer(
+                "the session has no open question".into(),
+            )),
+        }
+    }
+
+    fn record_disambiguation(&mut self, out: DisambiguationOutcome) {
+        self.mappings.extend(out.selected.iter().cloned());
+        self.disambiguations.push(out);
+    }
+
+    /// Hand out the report and close the session.
+    fn finish(&mut self) -> SessionReport {
+        self.stage = Stage::Done;
+        let warnings = (self.disambiguations.iter().map(|d| &d.warnings))
+            .chain(self.groupings.iter().map(|(_, g)| &g.warnings))
+            .flatten()
+            .cloned()
+            .collect();
+        SessionReport {
+            mappings: std::mem::take(&mut self.mappings),
+            disambiguations: std::mem::take(&mut self.disambiguations),
+            groupings: std::mem::take(&mut self.groupings),
+            join_questions: self.join_questions,
+            companions_added: self.companions.len(),
+            warnings,
         }
     }
 }
 
-impl Designer for StepDesigner<'_> {
-    fn pick_scenario(&mut self, q: &GroupingQuestion) -> Result<ScenarioChoice, WizardError> {
-        self.take(
-            "scenario",
-            || PendingQuestion::Grouping(q.clone()),
-            |a| match a {
-                Answer::Scenario(c) => Some(*c),
-                _ => None,
-            },
-        )
-    }
-
-    fn fill_choices(&mut self, q: &DisambiguationQuestion) -> Result<Vec<Vec<usize>>, WizardError> {
-        self.take(
-            "choices",
-            || PendingQuestion::Disambiguation(q.clone()),
-            |a| match a {
-                Answer::Choices(c) => Some(c.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    fn pick_join(&mut self, q: &JoinQuestion) -> Result<JoinChoice, WizardError> {
-        self.take(
-            "join",
-            || PendingQuestion::Join(q.clone()),
-            |a| match a {
-                Answer::Join(c) => Some(*c),
-                _ => None,
-            },
-        )
-    }
-}
-
 impl Session<'_> {
-    /// Advance the session as far as `answers` carries it: replay the
-    /// wizard against the recorded answers and either surface the first
-    /// unanswered question ([`Step::Ask`]) or the finished report
-    /// ([`Step::Done`]).
+    /// Feed `answer` to the open question of `st` and run the wizard to
+    /// the next question ([`Step::Ask`]) or the finished report
+    /// ([`Step::Done`]). With `None`, a fresh state runs to its first
+    /// question and a waiting one returns its open question again.
+    ///
+    /// Errors: [`WizardError::BadAnswer`] when the answer's kind does not
+    /// match the open question, its picks are malformed, or no question is
+    /// open; such an answer leaves `st` as it was. Any other wizard error
+    /// can leave `st` half advanced; rebuild it with [`Session::resume`].
+    pub fn advance(
+        &self,
+        mappings: &[Mapping],
+        st: &mut SessionState,
+        answer: Option<Answer>,
+    ) -> Result<Step, WizardError> {
+        let hints = self.hints();
+        let (d, g) = self.wizards(&hints);
+        match self.proceed(&d, &g, mappings, st, answer)? {
+            Some(report) => Ok(Step::Done(Box::new(report))),
+            None => st.ask(),
+        }
+    }
+
+    /// Rebuild a session's state from its recorded `answers` in one pass,
+    /// returning it with the step it stands at.
     ///
     /// Errors: [`WizardError::BadAnswer`] when an answer's kind does not
     /// match its question or when answers remain after the session
     /// completed (both indicate a corrupt or mismatched answer log);
     /// otherwise whatever the underlying wizard run raises.
-    pub fn step(&self, mappings: &[Mapping], answers: &[Answer]) -> Result<Step, WizardError> {
-        let mut replay = StepDesigner {
-            answers,
-            next: 0,
-            pending: None,
+    pub fn resume(
+        &self,
+        mappings: &[Mapping],
+        answers: &[Answer],
+    ) -> Result<(SessionState, Step), WizardError> {
+        let hints = self.hints();
+        let (d, g) = self.wizards(&hints);
+        let mut st = SessionState::default();
+        let mut report = self.proceed(&d, &g, mappings, &mut st, None)?;
+        for a in answers {
+            if report.is_some() {
+                return Err(WizardError::BadAnswer(format!(
+                    "session completed after {} answer(s) but {} were recorded",
+                    st.answered,
+                    answers.len()
+                )));
+            }
+            report = self.proceed(&d, &g, mappings, &mut st, Some(a.clone()))?;
+        }
+        let step = match report {
+            Some(report) => Step::Done(Box::new(report)),
+            None => st.ask()?,
         };
-        match self.run(mappings, &mut replay) {
-            Ok(report) => {
-                if replay.next < answers.len() {
-                    return Err(WizardError::BadAnswer(format!(
-                        "session completed after {} answer(s) but {} were recorded",
-                        replay.next,
-                        answers.len()
-                    )));
+        Ok((st, step))
+    }
+
+    /// Advance the session as far as `answers` carries it, from scratch:
+    /// [`Session::resume`] without the state.
+    pub fn step(&self, mappings: &[Mapping], answers: &[Answer]) -> Result<Step, WizardError> {
+        self.resume(mappings, answers).map(|(_, step)| step)
+    }
+
+    /// Static selectivity hints from the declared source constraints: both
+    /// wizards plan their chase/QIe joins with them (same answers, fewer
+    /// query steps).
+    pub(crate) fn hints(&self) -> muse_query::SelectivityHints {
+        muse_query::SelectivityHints::from_constraints(self.source_schema, self.source_constraints)
+    }
+
+    /// The two component wizards, configured from the session.
+    pub(crate) fn wizards<'w>(
+        &'w self,
+        hints: &'w muse_query::SelectivityHints,
+    ) -> (MuseD<'w>, MuseG<'w>) {
+        let mut mused = MuseD::new(
+            self.source_schema,
+            self.target_schema,
+            self.source_constraints,
+        );
+        mused.real_instance = self.real_instance;
+        mused.budget = self.budget;
+        mused.metrics = self.metrics;
+        mused.real_example_budget = self.real_example_budget;
+        mused.probe_cache = self.probe_cache;
+        mused.plan_hints = Some(hints);
+        mused.delta = self.delta;
+        let mut museg = MuseG::new(
+            self.source_schema,
+            self.target_schema,
+            self.source_constraints,
+        );
+        museg.real_instance = self.real_instance;
+        museg.instance_only = self.instance_only;
+        museg.budget = self.budget;
+        museg.metrics = self.metrics;
+        museg.real_example_budget = self.real_example_budget;
+        museg.probe_cache = self.probe_cache;
+        museg.plan_hints = Some(hints);
+        museg.delta = self.delta;
+        (mused, museg)
+    }
+
+    /// Feed `answer`, then run to the next question (left open in `st`) or
+    /// to the end, returning the report.
+    pub(crate) fn proceed(
+        &self,
+        d: &MuseD<'_>,
+        g: &MuseG<'_>,
+        mappings: &[Mapping],
+        st: &mut SessionState,
+        answer: Option<Answer>,
+    ) -> Result<Option<SessionReport>, WizardError> {
+        if let Some(a) = answer {
+            accept(d, mappings, st, a)?;
+        }
+        while st.open.is_none() {
+            match &mut st.stage {
+                // Phase 1: Muse-D on every ambiguous mapping.
+                Stage::Disambiguate(i) => match mappings.get(*i) {
+                    Some(m) if m.is_ambiguous() => match d.ask(m)? {
+                        Some(q) => {
+                            let q = Arc::unwrap_or_clone(q);
+                            st.open = Some(PendingQuestion::Disambiguation(q));
+                        }
+                        None => {
+                            *i += 1;
+                            let out = d.defaulted(m)?;
+                            st.record_disambiguation(out);
+                        }
+                    },
+                    Some(m) => {
+                        *i += 1;
+                        st.mappings.push(m.clone());
+                    }
+                    None if self.offer_join_options => {
+                        let sigma = st.mappings.len();
+                        st.stage = Stage::Joins {
+                            sigma,
+                            at: 0,
+                            var: 0,
+                        };
+                    }
+                    None => st.stage = Stage::groupings(),
+                },
+                // Phase 1.5 (optional): inner/outer join choices. For every
+                // source variable whose tuples feed target elements on their
+                // own, and whose standalone exchange is not already a
+                // mapping of Σ (like m3 in Fig. 1), ask whether dangling
+                // tuples should be exchanged too.
+                Stage::Joins { sigma, at, var } => {
+                    let sigma = &st.mappings[..*sigma];
+                    let Some(m) = sigma.get(*at) else {
+                        st.mappings.extend(st.companions.iter().cloned());
+                        st.stage = Stage::groupings();
+                        continue;
+                    };
+                    if *var == m.source_vars.len() {
+                        (*at, *var) = (*at + 1, 0);
+                        continue;
+                    }
+                    let v = *var;
+                    *var += 1;
+                    let Ok(companion) = outer_companion(m, v) else {
+                        continue;
+                    };
+                    if covered_by_sigma(&companion, sigma) {
+                        continue;
+                    }
+                    st.join_questions += 1;
+                    st.open = Some(PendingQuestion::Join(d.join_question(m, v)?));
                 }
-                Ok(Step::Done(Box::new(report)))
-            }
-            Err(WizardError::Suspended) => {
-                let seq = replay.next;
-                let Some(question) = replay.pending.take() else {
+                // Phase 2: Muse-G on every grouping function of every
+                // mapping, in breadth-first target order per mapping.
+                Stage::Groupings { next, sets, design } => {
+                    if let Some(gs) = design {
+                        let m = &mut st.mappings[*next - 1];
+                        if let Some(q) = g.advance_grouping(m, gs, None)? {
+                            let q = Arc::unwrap_or_clone(q);
+                            st.open = Some(PendingQuestion::Grouping(q));
+                        } else if let Some(gs) = design.take() {
+                            let o = gs.finish();
+                            m.set_grouping(o.sk.clone(), Grouping::new(o.grouping.clone()));
+                            st.groupings.push((m.name.clone(), o));
+                        }
+                    } else if let Some(sk) = sets.pop() {
+                        let gs = g.start_grouping(&st.mappings[*next - 1], &sk)?;
+                        *design = Some(Box::new(gs));
+                    } else if let Some(m) = st.mappings.get(*next) {
+                        *sets = g.grouping_order(m)?;
+                        sets.reverse();
+                        *next += 1;
+                    } else {
+                        return Ok(Some(st.finish()));
+                    }
+                }
+                Stage::Done => {
                     return Err(WizardError::BadAnswer(
-                        "internal: session suspended without capturing a question".into(),
-                    ));
-                };
-                Ok(Step::Ask {
-                    seq,
-                    question: Box::new(question),
-                })
+                        "the session is already complete".into(),
+                    ))
+                }
             }
-            Err(e) => Err(e),
+        }
+        Ok(None)
+    }
+}
+
+impl Stage {
+    fn groupings() -> Stage {
+        Stage::Groupings {
+            next: 0,
+            sets: Vec::new(),
+            design: None,
         }
     }
+}
+
+/// Record `a` as the answer to the open question of `st`. A rejected answer
+/// leaves `st` unchanged.
+fn accept(
+    d: &MuseD<'_>,
+    mappings: &[Mapping],
+    st: &mut SessionState,
+    a: Answer,
+) -> Result<(), WizardError> {
+    let n = st.answered;
+    let Some(open) = &st.open else {
+        return Err(WizardError::BadAnswer(format!(
+            "answer #{n} arrived with no question open"
+        )));
+    };
+    if open.kind() != a.kind() {
+        return Err(WizardError::BadAnswer(format!(
+            "answer #{n} has kind `{}` but question #{n} expects `{}` \
+             (the answer log does not match this session's question sequence)",
+            a.kind(),
+            open.kind()
+        )));
+    }
+    match (&mut st.stage, open, a) {
+        (Stage::Disambiguate(i), PendingQuestion::Disambiguation(q), Answer::Choices(picks)) => {
+            let m = mappings.get(*i).ok_or_else(|| {
+                WizardError::BadAnswer("no mapping is being disambiguated".into())
+            })?;
+            let out = d.select(m, q, picks)?;
+            *i += 1;
+            st.record_disambiguation(out);
+        }
+        (Stage::Joins { .. }, PendingQuestion::Join(q), Answer::Join(choice)) => {
+            if choice == JoinChoice::Outer {
+                let mut c = q.companion.clone();
+                c.name = format!("{}~outer{}", q.mapping, st.companions.len() + 1);
+                st.companions.push(c);
+            }
+        }
+        (
+            Stage::Groupings {
+                design: Some(gs), ..
+            },
+            PendingQuestion::Grouping(_),
+            Answer::Scenario(choice),
+        ) => gs.answer(choice)?,
+        _ => {
+            return Err(WizardError::BadAnswer(format!(
+                "answer #{n} does not fit the session's phase"
+            )))
+        }
+    }
+    st.open = None;
+    st.answered += 1;
+    Ok(())
+}
+
+/// Does some mapping of Σ already exchange what `companion` would? True
+/// when a single-variable mapping over the same source set asserts at least
+/// the companion's correspondences (like `m3` covering the outer option of
+/// `m2` in Fig. 1).
+fn covered_by_sigma(companion: &Mapping, sigma: &[Mapping]) -> bool {
+    let triples = |m: &Mapping| -> Option<std::collections::BTreeSet<(String, String, String)>> {
+        if m.source_vars.len() != 1 {
+            return None;
+        }
+        Some(
+            m.wheres
+                .iter()
+                .filter_map(|w| match w {
+                    WhereClause::Eq { source, target } => Some((
+                        source.attr.clone(),
+                        m.target_vars[target.var].set.to_string(),
+                        target.attr.clone(),
+                    )),
+                    WhereClause::OrGroup { .. } => None,
+                })
+                .collect(),
+        )
+    };
+    let Some(needed) = triples(companion) else {
+        return true;
+    };
+    sigma.iter().any(|m| {
+        m.source_vars.len() == 1
+            && m.source_vars[0].set == companion.source_vars[0].set
+            && triples(m).is_some_and(|have| needed.is_subset(&have))
+    })
 }
 
 #[cfg(test)]
